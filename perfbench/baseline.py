@@ -7,10 +7,10 @@ gives the quartiles). Run it from the repository root:
     python3 perfbench/baseline.py --runs 10 --first-seed 11 --out perfbench/baseline.json
     python3 perfbench/baseline.py --runs 5 --trace 1 --out perfbench/baseline_trace.json
 
-It flags an end-to-end metric whose spread exceeds a third of its bound in
-BENCHMARK.json (setup_s is exempt from the spread rule). With --compare it
-also checks that this set's medians are within the bounds of an earlier
-set's.
+It always runs every workload BENCHMARK.json lists, and flags an
+end-to-end metric whose spread exceeds a third of its bound there. With
+--compare it also checks that this set's medians are within the bounds of
+an earlier set's.
 """
 
 import argparse
@@ -38,7 +38,6 @@ def main():
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--trace", type=int, default=0)
-    ap.add_argument("--workloads", default="", help="comma-separated; default all")
     ap.add_argument("--out", default="")
     ap.add_argument("--compare", default="", help="earlier output of this script")
     args = ap.parse_args()
@@ -47,8 +46,6 @@ def main():
         spec = json.load(f)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = args.workloads.split(",")
     earlier = {}
     if args.compare:
         with open(args.compare) as f:
@@ -78,7 +75,7 @@ def main():
             line = f"  {w:12s} {k:32s} median {med:14.6g}  spread {spread:7.2%}"
             if k in bounds:
                 b = bounds[k]
-                if k != "setup_s" and spread > b / 3:
+                if spread > b / 3:
                     line += f"  SPREAD > bound/3 ({b / 3:.2%})"
                     ok = False
                 if k in earlier.get(w, {}).get("metrics", {}):

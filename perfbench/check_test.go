@@ -1,6 +1,8 @@
 package main
 
 import (
+	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,6 +63,29 @@ func TestEveryPinnedSeedIsCovered(t *testing.T) {
 			if pinnedDigests[name][seed] == "" {
 				t.Errorf("%s: no digest pinned for seed %d", name, seed)
 			}
+		}
+	}
+}
+
+func TestLiveReadRejectsStaleWindow(t *testing.T) {
+	const total = 600
+	body := func(seq int) []byte { return []byte(`{"window":{"seq":` + strconv.Itoa(seq) + `}}`) }
+	valid := liveRead(total)
+	for _, c := range []struct {
+		retired int64
+		seq     int
+		status  int
+		want    bool
+	}{
+		{retired: 10, seq: 10, status: http.StatusOK, want: true},           // the window in progress
+		{retired: 10, seq: 9, status: http.StatusOK, want: false},           // a window retired before the read
+		{retired: 10, seq: 10, status: http.StatusNotFound},                 // not answered
+		{retired: total, seq: total - 1, status: http.StatusOK, want: true}, // issued while the run returned
+		{retired: total - 1, seq: total - 2, status: http.StatusOK},         // stale even at the end
+	} {
+		if got := valid(read{retired: c.retired, status: c.status, body: body(c.seq)}); got != c.want {
+			t.Errorf("read issued after %d windows, answered %d with window %d: valid=%v, want %v",
+				c.retired, c.status, c.seq, got, c.want)
 		}
 	}
 }

@@ -30,10 +30,14 @@ import (
 )
 
 const (
-	// setups is how many times set-up runs; setup_s is their median.
-	setups = 11
+	// setups is how many set-up samples are taken; setup_s is their
+	// median. Each sample starts from a collected heap, repeats set-up
+	// until setupBatch has passed and is the mean, so a set-up of well
+	// under a millisecond still rises above timer and host noise.
+	setups     = 11
+	setupBatch = 200 * time.Millisecond
 	// One open-loop reader goroutine issues a read every readEvery
-	// (200/s) from the start of each run.
+	// (200/s) from the start of each run until the run returns.
 	readEvery = 5 * time.Millisecond
 	// minReads keeps at least ten reads beyond the 99th percentile.
 	minReads = 1000
@@ -109,6 +113,7 @@ type runStats struct {
 	host    time.Duration
 	virtual whodunit.Duration
 	txns    int64
+	reads   int // reads answered while the run simulated
 }
 
 func (b *bench) run(traced bool) result {
@@ -120,15 +125,22 @@ func (b *bench) run(traced bool) result {
 
 	var setupTimes, genTimes []float64
 	for i := 0; i < setups; i++ {
+		var n float64
+		var gen time.Duration
+		runtime.GC()
 		t0 := time.Now()
-		gen := b.w.setup(b.seed)
-		setupTimes = append(setupTimes, time.Since(t0).Seconds())
-		genTimes = append(genTimes, gen.Seconds())
+		for n == 0 || time.Since(t0) < setupBatch {
+			gen += b.w.setup(b.seed)
+			n++
+		}
+		setupTimes = append(setupTimes, time.Since(t0).Seconds()/n)
+		genTimes = append(genTimes, gen.Seconds()/n)
 	}
+	runtime.GC() // leave set-up garbage out of the timed runs
 
 	warm := b.w.run(nil)
 	digest, want := summarize(warm)
-	rd := &reader{k: b.w.reads(), every: readEvery}
+	rd := &reader{every: readEvery}
 
 	var m map[string]metric
 	var t timed
@@ -198,7 +210,7 @@ func (t *timed) add(o *outcome, b *bench, digest string, want counts) {
 		r.body = nil
 		t.reads = append(t.reads, r)
 	}
-	t.runs = append(t.runs, runStats{o.host, o.virtual, o.txns})
+	t.runs = append(t.runs, runStats{o.host, o.virtual, o.txns, len(o.reads)})
 }
 
 // median is the median over the runs of f.
@@ -315,7 +327,7 @@ func (b *bench) traced(rd *reader, digest string, want counts, warm *outcome) (m
 	m["serve.alerts"] = metric{float64(want.Alerts), "count"}
 	var reads float64
 	if _, ok := b.w.(*serveLive); ok {
-		reads = float64(b.w.reads())
+		reads = t.median(func(r runStats) float64 { return float64(r.reads) })
 	}
 	m["serve.reads"] = metric{reads, "count"}
 	m["tpcw.little_n"] = metric{warm.little.N, "count"}
@@ -341,11 +353,10 @@ type read struct {
 	retired int64 // windows the service had retired when the read was issued
 }
 
-// reader issues k reads, one due every interval from the start of a run.
-// It times each read from when it was due, so a stall also counts
-// against the reads queued behind it.
+// reader issues one read due every interval from the start of a run
+// until the run returns, and none after. It times each read from when it
+// was due, so a stall also counts against the reads queued behind it.
 type reader struct {
-	k     int
 	every time.Duration
 }
 
@@ -363,14 +374,26 @@ func (r *reader) during(h http.Handler, retired func() int64, fn func()) (time.D
 	if retired != nil {
 		url = "/report?window=live"
 	}
-	reads := make([]read, 0, r.k)
-	done := make(chan struct{})
+	var reads []read
+	stop, done := make(chan struct{}), make(chan struct{})
 	start := time.Now()
 	go func() {
 		defer close(done)
-		for i := 0; i < r.k; i++ {
+		next := time.NewTimer(0)
+		defer next.Stop()
+		for i := 0; ; i++ {
 			due := start.Add(time.Duration(i) * r.every)
-			time.Sleep(time.Until(due))
+			next.Reset(time.Until(due))
+			select {
+			case <-stop:
+				return
+			case <-next.C:
+			}
+			select {
+			case <-stop: // the run returned while the timer fired
+				return
+			default:
+			}
 			rd := read{lag: time.Since(due)}
 			if retired != nil {
 				rd.retired = retired()
@@ -385,6 +408,7 @@ func (r *reader) during(h http.Handler, retired func() int64, fn func()) (time.D
 	t0 := time.Now()
 	fn()
 	host := time.Since(t0)
+	close(stop)
 	<-done
 	return host, reads
 }

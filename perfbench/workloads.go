@@ -11,7 +11,6 @@ import (
 	"whodunit/internal/apps/apacheweb"
 	"whodunit/internal/apps/tpcw"
 	"whodunit/internal/scenarios"
-	"whodunit/internal/trace"
 	"whodunit/internal/vclock"
 	"whodunit/internal/workload"
 )
@@ -28,9 +27,6 @@ type runner interface {
 	// engine names the scheduler engine the workload's simulated
 	// threads run on.
 	engine() string
-	// reads is how many reads the reader issues per run, sized so that
-	// they end about when the run does or well before.
-	reads() int
 }
 
 var workloads = map[string]func() runner{
@@ -82,8 +78,6 @@ func (w *tpcwPods) engine() string {
 	return "goroutine"
 }
 
-func (w *tpcwPods) reads() int { return 100 }
-
 // setup has no inputs to generate outside the model: MegaRun builds the
 // tables and clients itself. A run that ends before any client's first
 // think time is over times exactly that construction.
@@ -123,7 +117,6 @@ type apacheFlow struct {
 }
 
 func (w *apacheFlow) engine() string { return "goroutine" }
-func (w *apacheFlow) reads() int     { return 30 }
 
 func (w *apacheFlow) setup(seed uint64) time.Duration {
 	wc := workload.DefaultWebConfig()
@@ -161,21 +154,14 @@ const serveWindows = 600
 type serveLive struct {
 	sc scenarios.ServeScenario
 	p  scenarios.Params
-
-	// Every run of a seed ends at the same virtual time, so the number
-	// of requests injected before it is counted once.
-	end      whodunit.Duration
-	injected int64
 }
 
 func (w *serveLive) engine() string { return "goroutine (mesh threads are free-form bodies)" }
-func (w *serveLive) reads() int     { return 200 }
 
 func (w *serveLive) setup(seed uint64) time.Duration {
 	w.sc, _ = scenarios.ServeByName("serve-mesh")
 	w.p = w.sc.Defaults
 	w.p.Seed = seed
-	w.end = 0
 	w.server()
 	return 0
 }
@@ -192,7 +178,10 @@ func (w *serveLive) server() *whodunit.Server {
 func (w *serveLive) run(rd *reader) *outcome {
 	srv := w.server()
 	host, reads := rd.during(srv.Handler(), srv.Ring().Total, func() { srv.Run() })
-	o := &outcome{host: host, reads: reads, validRead: liveRead}
+	retired := srv.Ring().Total()
+	// The service's unit of work is a retired window: nothing the
+	// program returns counts the mesh's requests.
+	o := &outcome{host: host, txns: retired, reads: reads, validRead: liveRead(retired)}
 	full := 0
 	for _, kv := range srv.Ring().Entries() {
 		rep := kv.V.Report
@@ -202,9 +191,7 @@ func (w *serveLive) run(rd *reader) *outcome {
 			full++
 		}
 	}
-	o.txns = w.injectedBefore(o.virtual)
 	o.extra = counts{Windows: int64(full), Alerts: srv.AlertsTotal()}
-	retired := srv.Ring().Total()
 	o.check = func() error {
 		if full != serveWindows || retired > serveWindows+1 {
 			return fmt.Errorf("serve-live: retired %d windows (%d full), want exactly %d full", retired, full, serveWindows)
@@ -212,32 +199,6 @@ func (w *serveLive) run(rd *reader) *outcome {
 		return nil
 	}
 	return o
-}
-
-// injectedBefore counts the requests the scenario's open-loop arrival
-// process injects before virtual time end. The process draws from the
-// same generator trace.Gen does, so regenerating the stream counts them
-// exactly.
-func (w *serveLive) injectedBefore(end whodunit.Duration) int64 {
-	if end == w.end {
-		return w.injected
-	}
-	gen := trace.CacheTrace()
-	gen.Seed = w.p.Seed
-	for gen.Events = 1 << 16; ; gen.Events *= 2 {
-		evs := trace.Gen(gen).Events
-		if evs[len(evs)-1].T < end {
-			continue
-		}
-		var n int64
-		for _, ev := range evs {
-			if ev.T < end {
-				n++
-			}
-		}
-		w.end, w.injected = end, n
-		return n
-	}
 }
 
 // ---- reads --------------------------------------------------------------
@@ -262,22 +223,25 @@ func foldedRead(rep *whodunit.Report) func(read) bool {
 	return func(r read) bool { return r.status == http.StatusOK && bytes.Equal(r.body, want.Bytes()) }
 }
 
-// liveRead accepts a serve-live read when it returned 200 with the
-// in-progress window: its sequence number is at least the number of
-// windows retired before the read was issued. (A read the service
-// answers after its run finished falls back to the latest retired
-// window, whose number is lower.)
-func liveRead(r read) bool {
-	if r.status != http.StatusOK {
-		return false
+// liveRead accepts a serve-live read of a run that retired total windows
+// when it returned 200 with the in-progress window: its sequence number
+// is at least the number of windows retired before the read was issued.
+// A read issued after the last window retired, while the run was
+// returning, has no window in progress; the service rightly answers it
+// with the last retired one.
+func liveRead(total int64) func(read) bool {
+	return func(r read) bool {
+		if r.status != http.StatusOK {
+			return false
+		}
+		var rep struct {
+			Window *struct {
+				Seq int64 `json:"seq"`
+			} `json:"window"`
+		}
+		if err := json.Unmarshal(r.body, &rep); err != nil || rep.Window == nil {
+			return false
+		}
+		return rep.Window.Seq >= r.retired || (r.retired == total && rep.Window.Seq == total-1)
 	}
-	var rep struct {
-		Window *struct {
-			Seq int64 `json:"seq"`
-		} `json:"window"`
-	}
-	if err := json.Unmarshal(r.body, &rep); err != nil || rep.Window == nil {
-		return false
-	}
-	return rep.Window.Seq >= r.retired
 }
