@@ -7,7 +7,10 @@ gives the quartiles). Run it from the repository root:
     python3 perfbench/baseline.py --runs 10 --first-seed 11 --out perfbench/baseline.json
     python3 perfbench/baseline.py --runs 5 --trace 1 --out perfbench/baseline_trace.json
 
-It always runs every workload BENCHMARK.json lists, and flags an
+Beside the metrics it records, from each run's host_speed line, the
+unscaled times and rates and the reference kernel's time
+(unscaled.<metric>, unscaled.ref_ms). It always runs every workload
+BENCHMARK.json lists, and flags an
 end-to-end metric whose spread exceeds a third of its bound there. With
 --compare it also checks that this set's medians are within the bounds of
 an earlier set's.
@@ -30,7 +33,13 @@ def run_once(workload, seed, seconds, trace):
     if out.returncode != 0 or not lines:
         sys.exit(f"{' '.join(cmd)} failed ({out.returncode}):\n{out.stderr}")
     host = next((json.loads(l)["host"] for l in lines if l.startswith('{"host"')), None)
-    return json.loads(lines[-1]), host
+    res = json.loads(lines[-1])
+    speed = next((json.loads(l)["host_speed"] for l in lines if l.startswith('{"host_speed"')), None)
+    if speed:
+        for k, v in speed["unscaled"].items():
+            res["metrics"]["unscaled." + k] = {"value": v}
+        res["metrics"]["unscaled.ref_ms"] = {"value": speed["ref_ms"]}
+    return res, host
 
 
 def main():

@@ -30,8 +30,8 @@ var pinnedDigests = map[string]map[uint64]string{
 		7: "fde90e943521496a0415f542659a2e85d5cc71197c69238da09d67c09308337c",
 	},
 	"apache-flow": {
-		1: "15dcbed12a2671ae0c5b6ee438bab38263d693ee3d345bfaf03ed32bb23ffefd",
-		7: "6d06c2af40b065aa186fc6e4058033a09e2dfba082d13f8bf830e36f8e1e83be",
+		1: "b2018e8c5a966a504e09a620062051eebed2ca05304b8df9a17d1edb71da6833",
+		7: "097bef8d5ab222967047c0f9e969af3387a6361cbd55ca951a1e7a8ea2ecf1e1",
 	},
 	"serve-live": {
 		1: "9ea8f5f7c5869d113da1f83d8ff39bb07ad6c90830a0478331e4cb2256eddaa4",

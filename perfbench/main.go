@@ -57,7 +57,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: bad arguments (workload %q, seconds %v, trace %d)\n", *name, *seconds, *traced)
 		os.Exit(2)
 	}
-	b := &bench{name: *name, seed: *seed, w: mk(), budget: time.Duration(*seconds * float64(time.Second))}
+	b := &bench{name: *name, seed: *seed, w: mk(), budget: time.Duration(*seconds * float64(time.Second)), speed: newHostSpeed()}
 	res := b.run(*traced == 1)
 	out, err := json.Marshal(res)
 	if err != nil {
@@ -84,6 +84,7 @@ type bench struct {
 	seed   uint64
 	w      runner
 	budget time.Duration
+	speed  *hostSpeed
 
 	errs []error
 }
@@ -107,13 +108,16 @@ type timed struct {
 	runs        []runStats
 	reads       []read
 	failedReads int64
+	// runs and reads the host did not disturb (disturbed, hostspeed.go)
+	steadyRuns, steadyReads int
 }
 
 type runStats struct {
-	host    time.Duration
-	virtual whodunit.Duration
-	txns    int64
-	reads   int // reads answered while the run simulated
+	host      time.Duration
+	virtual   whodunit.Duration
+	txns      int64
+	reads     int  // reads answered while the run simulated
+	disturbed bool // the hypervisor took CPU time from the run
 }
 
 func (b *bench) run(traced bool) result {
@@ -135,6 +139,7 @@ func (b *bench) run(traced bool) result {
 		}
 		setupTimes = append(setupTimes, time.Since(t0).Seconds()/n)
 		genTimes = append(genTimes, gen.Seconds()/n)
+		b.speed.after(setupBatch)
 	}
 	runtime.GC() // leave set-up garbage out of the timed runs
 
@@ -183,23 +188,27 @@ func (b *bench) run(traced bool) result {
 	return res
 }
 
-// measure repeats run until budget has passed and at least needReads
-// reads were taken (and at least three runs made), checking every run.
+// measure repeats run until budget has passed and the runs the host did
+// not disturb number at least three and took at least needReads reads,
+// checking every run.
 func (b *bench) measure(run func() *outcome, budget time.Duration, needReads int, digest string, want counts) timed {
 	var t timed
 	start := time.Now()
 	for {
 		el := time.Since(start)
-		if el >= maxTimed || (el >= budget && len(t.reads) >= needReads && len(t.runs) >= 3) {
+		if el >= maxTimed || (el >= budget && t.steadyReads >= needReads && t.steadyRuns >= 3) {
 			return t
 		}
-		t.add(run(), b, digest, want)
+		stolen := stealTicks()
+		o := run()
+		t.add(o, b, digest, want, disturbed(stealTicks()-stolen, o.host))
+		b.speed.after(o.host)
 	}
 }
 
 // add checks that a run reproduced the warm-up's digest and counts and
 // that its reads returned correct bodies, and records it.
-func (t *timed) add(o *outcome, b *bench, digest string, want counts) {
+func (t *timed) add(o *outcome, b *bench, digest string, want counts, disturbed bool) {
 	if d, c := summarize(o); d != digest || c != want {
 		b.fail(fmt.Errorf("%s: run output differs from the warm-up run (digest %s vs %s)", b.name, d, digest))
 	}
@@ -207,10 +216,35 @@ func (t *timed) add(o *outcome, b *bench, digest string, want counts) {
 		if !o.validRead(r) {
 			t.failedReads++
 		}
-		r.body = nil
+		r.body, r.disturbed = nil, disturbed
 		t.reads = append(t.reads, r)
 	}
-	t.runs = append(t.runs, runStats{o.host, o.virtual, o.txns, len(o.reads)})
+	t.runs = append(t.runs, runStats{o.host, o.virtual, o.txns, len(o.reads), disturbed})
+	if !disturbed {
+		t.steadyRuns++
+		t.steadyReads += len(o.reads)
+	}
+}
+
+// steady returns the runs the host did not disturb, with their reads,
+// when they are enough for the metrics (three runs and needReads reads),
+// and otherwise every run. Every run counts as attempted either way.
+func (t timed) steady(needReads int) timed {
+	if t.steadyRuns < 3 || t.steadyReads < needReads {
+		return t
+	}
+	s := timed{failedReads: t.failedReads, steadyRuns: t.steadyRuns, steadyReads: t.steadyReads}
+	for _, r := range t.runs {
+		if !r.disturbed {
+			s.runs = append(s.runs, r)
+		}
+	}
+	for _, r := range t.reads {
+		if !r.disturbed {
+			s.reads = append(s.reads, r)
+		}
+	}
+	return s
 }
 
 // median is the median over the runs of f.
@@ -238,16 +272,30 @@ func (t timed) readsMS(lag bool) []float64 {
 	return v
 }
 
-func (b *bench) endToEnd(t timed, setup float64) map[string]metric {
+// endToEnd reports the end-to-end metrics, every time and rate at
+// reference host speed (hostspeed.go), and prints them unscaled too.
+func (b *bench) endToEnd(all timed, setup float64) map[string]metric {
+	t := all.steady(minReads)
 	lat := t.readsMS(false)
-	info("reads", map[string]any{"count": len(lat), "beyond_p99": len(lat) - int(float64(len(lat))*0.99), "runs": len(t.runs)})
+	info("reads", map[string]any{"count": len(lat), "beyond_p99": len(lat) - int(float64(len(lat))*0.99),
+		"runs": len(t.runs), "disturbed_runs_left_out": len(all.runs) - len(t.runs)})
+	host := map[string]float64{
+		"setup_s":          setup,
+		"txn_per_s":        t.median(func(r runStats) float64 { return float64(r.txns) / r.host.Seconds() }),
+		"sim_speedup":      t.median(speedup),
+		"live_read_p50_ms": quantile(lat, 0.50),
+		"live_read_p99_ms": quantile(lat, 0.99),
+	}
+	f := b.speed.factor()
+	info("host_speed", map[string]any{"ref_ms": refNominal.Seconds() * 1000 / f, "samples": len(b.speed.samples),
+		"factor": f, "unscaled": host})
 	return map[string]metric{
-		"setup_s":          {setup, "s"},
-		"txn_per_s":        {t.median(func(r runStats) float64 { return float64(r.txns) / r.host.Seconds() }), "1/s"},
-		"sim_speedup":      {t.median(speedup), "x"},
+		"setup_s":          {host["setup_s"] * f, "s"},
+		"txn_per_s":        {host["txn_per_s"] / f, "1/s"},
+		"sim_speedup":      {host["sim_speedup"] / f, "x"},
 		"peak_rss_mb":      {peakRSSMB(), "MB"},
-		"live_read_p50_ms": {quantile(lat, 0.50), "ms"},
-		"live_read_p99_ms": {quantile(lat, 0.99), "ms"},
+		"live_read_p50_ms": {host["live_read_p50_ms"] * f, "ms"},
+		"live_read_p99_ms": {host["live_read_p99_ms"] * f, "ms"},
 	}
 }
 
@@ -296,6 +344,7 @@ func (b *bench) traced(rd *reader, digest string, want counts, warm *outcome) (m
 	m["runtime.alloc_bytes_per_txn"] = metric{allocB / txns, "B"}
 	m["runtime.allocs_per_txn"] = metric{allocN / txns, "count"}
 	m["bench.profile_samples"] = metric{float64(attr.samples), "count"}
+	m["bench.ref_ms"] = metric{median(b.speed.samples) * 1000, "ms"}
 
 	span := func(f func(spans) time.Duration) float64 {
 		var v []float64
@@ -309,7 +358,7 @@ func (b *bench) traced(rd *reader, digest string, want counts, warm *outcome) (m
 	m["report.diff_s"] = metric{span(func(s spans) time.Duration { return s.diff }), "s"}
 	m["stitch.build_s"] = metric{span(func(s spans) time.Duration { return s.stitch }), "s"}
 
-	untraced, tracedSpeed := plain.median(speedup), t.median(speedup)
+	untraced, tracedSpeed := plain.steady(0).median(speedup), t.steady(0).median(speedup)
 	m["bench.untraced_sim_speedup"] = metric{untraced, "x"}
 	m["bench.traced_sim_speedup"] = metric{tracedSpeed, "x"}
 	m["bench.trace_overhead"] = metric{1 - tracedSpeed/untraced, "ratio"}
@@ -327,7 +376,7 @@ func (b *bench) traced(rd *reader, digest string, want counts, warm *outcome) (m
 	m["serve.alerts"] = metric{float64(want.Alerts), "count"}
 	var reads float64
 	if _, ok := b.w.(*serveLive); ok {
-		reads = t.median(func(r runStats) float64 { return float64(r.reads) })
+		reads = t.steady(0).median(func(r runStats) float64 { return float64(r.reads) })
 	}
 	m["serve.reads"] = metric{reads, "count"}
 	m["tpcw.little_n"] = metric{warm.little.N, "count"}
@@ -351,6 +400,8 @@ type read struct {
 	status  int
 	body    []byte
 	retired int64 // windows the service had retired when the read was issued
+	// disturbed marks a read of a run the hypervisor took CPU time from.
+	disturbed bool
 }
 
 // reader issues one read due every interval from the start of a run
