@@ -13,10 +13,8 @@ import (
 	"whodunit"
 	"whodunit/internal/event"
 	"whodunit/internal/experiments"
-	"whodunit/internal/profiler"
 	"whodunit/internal/shmflow"
 	"whodunit/internal/tranctx"
-	"whodunit/internal/vclock"
 	"whodunit/internal/vm"
 )
 
@@ -247,25 +245,4 @@ func BenchmarkQueuePushPopEmulated(b *testing.B) {
 	})
 	b.ResetTimer()
 	app.Run()
-}
-
-// BenchmarkProbeCompute measures the profiler hot path: Compute calls
-// with sampling under Whodunit mode, including the simulator round-trip
-// each blocking Compute implies.
-func BenchmarkProbeCompute(b *testing.B) {
-	b.ReportAllocs()
-	s := vclock.New()
-	cpu := s.NewCPU("cpu", 1)
-	p := profiler.New("s", profiler.ModeWhodunit)
-	n := b.N
-	s.Go("w", func(th *vclock.Thread) {
-		pr := p.NewProbe(th, cpu)
-		defer pr.Exit(pr.Enter("hot"))
-		for i := 0; i < n; i++ {
-			pr.Compute(profiler.DefaultInterval / 8)
-		}
-	})
-	b.ResetTimer()
-	s.Run()
-	s.Shutdown()
 }

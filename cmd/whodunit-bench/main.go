@@ -44,9 +44,9 @@ type benchSnapshot struct {
 // the snapshot so the scheduler's hand-off cost is tracked across
 // changes alongside wall-clock times.
 type benchSwitchSnap struct {
-	CoroNsPerSwitch      float64 `json:"coro_ns_per_switch"`
-	GoroutineNsPerSwitch float64 `json:"goroutine_ns_per_switch"`
-	Ratio                float64 `json:"ratio"`
+	FrameNsPerSwitch float64 `json:"frame_ns_per_switch"`
+	BodyNsPerSwitch  float64 `json:"body_ns_per_switch"`
+	Ratio            float64 `json:"ratio"`
 }
 
 type benchExpSnap struct {
@@ -196,9 +196,9 @@ func run() int {
 		}
 		if switchResult != nil {
 			snap.Switch = &benchSwitchSnap{
-				CoroNsPerSwitch:      switchResult.Rows[0].NsPerSwitch,
-				GoroutineNsPerSwitch: switchResult.Rows[1].NsPerSwitch,
-				Ratio:                switchResult.Ratio,
+				FrameNsPerSwitch: switchResult.Rows[0].NsPerSwitch,
+				BodyNsPerSwitch:  switchResult.Rows[1].NsPerSwitch,
+				Ratio:            switchResult.Ratio,
 			}
 		}
 		buf, err := json.MarshalIndent(snap, "", "  ")

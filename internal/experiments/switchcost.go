@@ -8,34 +8,42 @@ import (
 	"whodunit/internal/vclock"
 )
 
-// --- switchcost: context-switch cost of the two scheduler engines ----
+// --- switchcost: context-switch cost of the two thread-body forms ----
 
-// SwitchCostRow is one engine's measured hand-off cost.
+// SwitchCostRow is one body form's measured hand-off cost.
 type SwitchCostRow struct {
-	Engine      string
+	Form        string
 	Switches    int
 	NsPerSwitch float64
 }
 
-// SwitchCostResult compares the run-to-completion engine against the
-// goroutine baton protocol on the same two-thread ping-pong program.
+// SwitchCostResult compares frame programs, stepped inline by the
+// dispatch loop, against Sim.Go bodies, resumed as iter.Pull coroutines,
+// on the same two-thread ping-pong program.
 type SwitchCostResult struct {
 	Rows  []SwitchCostRow
-	Ratio float64 // goroutine ns/switch over coro ns/switch
+	Ratio float64 // body ns/switch over frame ns/switch
 }
 
 // SwitchCost measures the wall-clock cost of one blocking operation —
-// queue Get parking the thread plus the Put-driven resume — under each
-// coroutine engine. The program is identical either way (the same
-// GoCoro frames); the engine is overridden per Sim with SetEngine, not
-// through the process-global default, because experiment jobs run
-// concurrently in the worker pool. Each round trip is two switches.
+// queue Get parking the thread plus the Put-driven resume — for each
+// form of thread body. Each round trip is two switches.
 func SwitchCost(rounds int) SwitchCostResult {
-	measure := func(k vclock.EngineKind) float64 {
+	measure := func(s *vclock.Sim, done *int) float64 {
+		target := 0
+		stop := func() bool { return *done >= target }
+		target = rounds / 10 // warm-up: slices at steady capacity
+		s.RunUntil(stop)
+		start := time.Now()
+		target = *done + rounds
+		s.RunUntil(stop)
+		elapsed := time.Since(start)
+		s.Shutdown()
+		return float64(elapsed.Nanoseconds()) / float64(rounds*2)
+	}
+	frame := func() float64 {
 		s := vclock.New()
-		s.SetEngine(k)
 		qa, qb := s.NewQueue("a"), s.NewQueue("b")
-		var token any = struct{}{}
 		done := 0
 		var echoF, countF vclock.Frame
 		echoF = func(c *vclock.Coro, v any) vclock.Step {
@@ -49,28 +57,37 @@ func SwitchCost(rounds int) SwitchCostResult {
 		}
 		s.GoCoro("echo", func(c *vclock.Coro, _ any) vclock.Step { return c.Get(qb, echoF) })
 		s.GoCoro("count", func(c *vclock.Coro, _ any) vclock.Step {
-			qb.Put(token)
+			qb.Put(struct{}{})
 			return c.Get(qa, countF)
 		})
-		target := 0
-		stop := func() bool { return done >= target }
-		target = rounds / 10 // warm-up: slices at steady capacity
-		s.RunUntil(stop)
-		start := time.Now()
-		target = done + rounds
-		s.RunUntil(stop)
-		elapsed := time.Since(start)
-		s.Shutdown()
-		return float64(elapsed.Nanoseconds()) / float64(rounds*2)
+		return measure(s, &done)
 	}
-	coro := measure(vclock.EngineCoro)
-	gor := measure(vclock.EngineGoroutine)
+	body := func() float64 {
+		s := vclock.New()
+		qa, qb := s.NewQueue("a"), s.NewQueue("b")
+		done := 0
+		s.Go("echo", func(t *vclock.Thread) {
+			for {
+				qa.Put(t.Get(qb))
+			}
+		})
+		s.Go("count", func(t *vclock.Thread) {
+			qb.Put(struct{}{})
+			for {
+				v := t.Get(qa)
+				done++
+				qb.Put(v)
+			}
+		})
+		return measure(s, &done)
+	}
+	f, b := frame(), body()
 	res := SwitchCostResult{Rows: []SwitchCostRow{
-		{Engine: vclock.EngineCoro.String(), Switches: rounds * 2, NsPerSwitch: coro},
-		{Engine: vclock.EngineGoroutine.String(), Switches: rounds * 2, NsPerSwitch: gor},
+		{Form: "frame", Switches: rounds * 2, NsPerSwitch: f},
+		{Form: "body", Switches: rounds * 2, NsPerSwitch: b},
 	}}
-	if coro > 0 {
-		res.Ratio = gor / coro
+	if f > 0 {
+		res.Ratio = b / f
 	}
 	return res
 }
@@ -78,9 +95,9 @@ func SwitchCost(rounds int) SwitchCostResult {
 // Render prints the switch-cost comparison.
 func (r SwitchCostResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "== switchcost: scheduler hand-off cost per blocking operation ==")
-	fmt.Fprintf(w, "%-12s %12s %12s\n", "engine", "switches", "ns/switch")
+	fmt.Fprintf(w, "%-12s %12s %12s\n", "form", "switches", "ns/switch")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-12s %12d %12.1f\n", row.Engine, row.Switches, row.NsPerSwitch)
+		fmt.Fprintf(w, "%-12s %12d %12.1f\n", row.Form, row.Switches, row.NsPerSwitch)
 	}
-	fmt.Fprintf(w, "goroutine/coro ratio: %.1fx (zero-handoff run-to-completion vs baton-passing goroutines)\n", r.Ratio)
+	fmt.Fprintf(w, "body/frame ratio: %.1fx (iter.Pull coroutine vs frames stepped inline)\n", r.Ratio)
 }

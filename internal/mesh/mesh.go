@@ -96,7 +96,7 @@ type Service struct {
 
 	// Per-op frame/path caches: built once per distinct op so the
 	// steady-state serve path concatenates no strings. The simulator
-	// runs one thread at a time with baton hand-off, so the maps need
+	// runs one thread at a time from one dispatch loop, so the maps need
 	// no locks.
 	handleFrames map[string]string
 	entryPaths   map[string][]string

@@ -1,23 +1,22 @@
 package vclock
 
 // This file is the run-to-completion scheduler: simulated threads whose
-// bodies are resumable state machines instead of goroutines. A Frame is
-// one straight-line segment of such a body; it runs non-blocking code
-// and ends by taking exactly one step — continue into another frame,
-// block on a scheduling primitive naming the frame to resume in, or
-// finish. The dispatcher pops the event heap and invokes continuations
-// directly, so a blocking operation costs a method call instead of a
-// goroutine hand-off: no channel operations, no scheduler round trip,
-// no parked stack.
+// bodies are resumable state machines instead of straight-line Sim.Go
+// bodies. A Frame is one straight-line segment of such a body; it runs
+// non-blocking code and ends by taking exactly one step — continue into
+// another frame, block on a scheduling primitive naming the frame to
+// resume in, or finish. The dispatcher pops the event heap and invokes
+// continuations directly, so a blocking operation costs a method call
+// instead of a coroutine switch: no parked stack, no allocation.
 //
-// Bit-identity with the goroutine engine is by construction: every Coro
+// Bit-identity with Sim.Go bodies is by construction: every Coro
 // operation performs the same bookkeeping — the same heap pushes, the
 // same waiter-list mutations, the same inline-sleep fast path, in the
 // same order — as its blocking Thread counterpart. Only the control
 // transfer differs, and the event order is a function of the heap
-// contents alone, so a program expressed as frames produces the same
-// event order on either engine. The quick-check property tests and the
-// scenario corpus sweep pin this.
+// contents alone, so a program produces the same event order whether
+// it is written as frames or as a body. The quick-check property tests
+// pin this.
 
 // Step is the opaque receipt a Frame returns. Frames cannot construct a
 // meaningful Step themselves — they obtain one by calling exactly one
@@ -62,9 +61,8 @@ const (
 // Coro is the execution state of one run-to-completion thread: the
 // pending continuation, a return stack for Call/Return composition, and
 // the bookkeeping its blocking operations leave for Resume. All fields
-// are owned by the dispatcher (whoever holds the baton), so no locking
-// is needed — the same single-active-goroutine discipline as the rest
-// of the simulator.
+// are owned by the dispatch loop, so no locking is needed — the same
+// one-thing-runs-at-a-time discipline as the rest of the simulator.
 type Coro struct {
 	t     *Thread
 	next  Frame
@@ -293,8 +291,7 @@ func (c *Coro) Unlock(l *Lock) { c.t.Unlock(l) }
 // operation the coroutine blocked on, then invokes frames — feeding each
 // one the value the previous step produced — until the program blocks
 // again (CoroParked) or finishes (CoroDone, with the final value). The
-// dispatcher calls it with each wake's payload; the goroutine engine's
-// driver calls it between parks.
+// dispatcher calls it with each wake's payload.
 func (c *Coro) Resume(v any) (BlockOn, any) {
 	t := c.t
 	switch c.blocked {
@@ -328,23 +325,5 @@ func (c *Coro) Resume(v any) (BlockOn, any) {
 			return CoroDone, c.ret
 		}
 		v, c.passv = c.passv, nil
-	}
-}
-
-// driveGoroutine adapts a coroutine program to the goroutine engine: a
-// dedicated goroutine alternates Resume with the ordinary baton-passing
-// park, so the program performs exactly the scheduling operations the
-// run-to-completion engine would — the engines are interchangeable per
-// thread. Kill and Shutdown unwind through park's poison panic; the
-// deferred cleanup run mirrors stepCoro's.
-func (c *Coro) driveGoroutine(t *Thread) {
-	defer c.runCleanups()
-	var v any
-	for {
-		op, _ := c.Resume(v)
-		if op == CoroDone {
-			return
-		}
-		v = t.park()
 	}
 }

@@ -6,14 +6,36 @@ import (
 	"testing/quick"
 )
 
-// forEachEngine runs f once per coroutine engine, as a subtest named
-// after the engine. Tests using it pin that GoCoro programs behave
-// identically whichever engine executes them.
-func forEachEngine(t *testing.T, f func(t *testing.T, k EngineKind)) {
-	for _, k := range []EngineKind{EngineCoro, EngineGoroutine} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) { f(t, k) })
-	}
+// runner starts a frame program as a simulated thread, like GoCoroAt.
+type runner func(s *Sim, at Time, name string, f Frame) *Thread
+
+// inBody starts f as a Sim.Go body that alternates Resume with park, so
+// every blocking step of the program goes through the body path — the
+// iter.Pull coroutine, its wake payload, and its unwinding on Kill and
+// Shutdown — instead of being stepped inline.
+func inBody(s *Sim, at Time, name string, f Frame) *Thread {
+	var c *Coro
+	th := s.GoAt(at, name, func(th *Thread) {
+		defer c.runCleanups()
+		var v any
+		for {
+			if op, _ := c.Resume(v); op == CoroDone {
+				return
+			}
+			v = th.park()
+		}
+	})
+	c = &Coro{t: th, next: f}
+	return th
+}
+
+// forEachForm runs f once per way a frame program can run, as subtests:
+// "coro" steps the frames inline, "goroutine" drives them from a Sim.Go
+// body. Tests using it pin that a program behaves identically either
+// way.
+func forEachForm(t *testing.T, f func(t *testing.T, run runner)) {
+	t.Run("coro", func(t *testing.T) { f(t, (*Sim).GoCoroAt) })
+	t.Run("goroutine", func(t *testing.T) { f(t, inBody) })
 }
 
 // coroPinger is one side of a two-thread ping-pong over a pair of
@@ -50,11 +72,10 @@ func (p *coroPinger) loop(c *Coro, v any) Step {
 
 func (p *coroPinger) get(c *Coro, _ any) Step { return c.Get(p.in, p.loopF) }
 
-// pingPongCoro builds and runs the ping-pong as GoCoro threads on the
-// given engine and returns the observed trace.
-func pingPongCoro(k EngineKind, rounds int) []traceEntry {
+// pingPongCoro builds and runs the ping-pong as GoCoro threads and
+// returns the observed trace.
+func pingPongCoro(rounds int) []traceEntry {
 	s := New()
-	s.SetEngine(k)
 	qa, qb := s.NewQueue("a"), s.NewQueue("b")
 	var trace []traceEntry
 	a := &coroPinger{name: "a", in: qa, out: qb, rounds: rounds, trace: &trace, starter: true}
@@ -69,7 +90,7 @@ func pingPongCoro(k EngineKind, rounds int) []traceEntry {
 }
 
 // pingPongThreads is the identical program written against the blocking
-// Thread API, for cross-checking the engines against the legacy path.
+// Thread API, for cross-checking frames against Sim.Go bodies.
 func pingPongThreads(rounds int) []traceEntry {
 	s := New()
 	qa, qb := s.NewQueue("a"), s.NewQueue("b")
@@ -98,24 +119,21 @@ func pingPongThreads(rounds int) []traceEntry {
 	return trace
 }
 
-// TestCoroPingPongEngineParity: the same coroutine program produces the
-// identical trace under both engines, and matches the blocking-API
-// rendering of the same program.
+// TestCoroPingPongEngineParity: the coroutine program produces the
+// identical trace to the blocking-API rendering of the same program.
 func TestCoroPingPongEngineParity(t *testing.T) {
 	const rounds = 50
 	want := pingPongThreads(rounds)
 	if len(want) == 0 {
 		t.Fatal("empty reference trace")
 	}
-	for _, k := range []EngineKind{EngineCoro, EngineGoroutine} {
-		got := pingPongCoro(k, rounds)
-		if len(got) != len(want) {
-			t.Fatalf("%v: trace length %d, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v: trace[%d] = %+v, want %+v", k, i, got[i], want[i])
-			}
+	got := pingPongCoro(rounds)
+	if len(got) != len(want) {
+		t.Fatalf("trace length %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("trace[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -124,12 +142,11 @@ func TestCoroPingPongEngineParity(t *testing.T) {
 // and hands its value over; Return on an empty stack finishes the
 // program.
 func TestCoroCallReturn(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		var got []any
 		sub := func(c *Coro, v any) Step { return c.Return(v.(int) * 2) }
-		s.GoCoro("caller", func(c *Coro, _ any) Step {
+		run(s, 0, "caller", func(c *Coro, _ any) Step {
 			return c.Call(func(c *Coro, _ any) Step {
 				c.passv = 21 // simulate an argument via Goto
 				return c.Goto(sub)
@@ -147,13 +164,12 @@ func TestCoroCallReturn(t *testing.T) {
 }
 
 // TestCoroDeferOrder: Defer cleanups run last-registered-first when the
-// program finishes, on both engines.
+// program finishes, in both forms.
 func TestCoroDeferOrder(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		var order []string
-		s.GoCoro("w", func(c *Coro, _ any) Step {
+		run(s, 0, "w", func(c *Coro, _ any) Step {
 			c.Defer(func() { order = append(order, "first") })
 			c.Defer(func() { order = append(order, "second") })
 			return c.End()
@@ -170,12 +186,11 @@ func TestCoroDeferOrder(t *testing.T) {
 // Defer stack at the kill instant — the coroutine twin of
 // TestKillParkedThreadRunsDefers — and the sim drains afterwards.
 func TestCoroKillRunsDefers(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		q := s.NewQueue("q")
 		var cleaned []Time
-		th := s.GoCoro("victim", func(c *Coro, _ any) Step {
+		th := run(s, 0, "victim", func(c *Coro, _ any) Step {
 			c.Defer(func() { cleaned = append(cleaned, c.Now()) })
 			return c.Get(q, func(c *Coro, _ any) Step { return c.End() })
 		})
@@ -195,19 +210,18 @@ func TestCoroKillRunsDefers(t *testing.T) {
 // through a Defer'd Unlock releases it, so the waiter proceeds — the
 // fault plane's crash semantics hold for run-to-completion threads.
 func TestCoroKillReleasesDeferredLock(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		l := s.NewLock("l")
 		q := s.NewQueue("q")
 		var acquired []Time
-		holder := s.GoCoro("holder", func(c *Coro, _ any) Step {
+		holder := run(s, 0, "holder", func(c *Coro, _ any) Step {
 			return c.Lock(l, Exclusive, func(c *Coro, _ any) Step {
 				c.Defer(func() { c.Unlock(l) })
 				return c.Get(q, func(c *Coro, _ any) Step { return c.End() })
 			})
 		})
-		s.GoCoroAt(Time(Millisecond), "waiter", func(c *Coro, _ any) Step {
+		run(s, Time(Millisecond), "waiter", func(c *Coro, _ any) Step {
 			return c.Lock(l, Exclusive, func(c *Coro, _ any) Step {
 				acquired = append(acquired, c.Now())
 				c.Unlock(l)
@@ -227,11 +241,10 @@ func TestCoroKillReleasesDeferredLock(t *testing.T) {
 // as the run's crash (dispatch halts), and the thread's cleanups run —
 // exactly like a panicking goroutine body.
 func TestCoroFramePanicRecordsCrash(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		cleaned := false
-		s.GoCoro("bomb", func(c *Coro, _ any) Step {
+		run(s, 0, "bomb", func(c *Coro, _ any) Step {
 			c.Defer(func() { cleaned = true })
 			return c.Sleep(Millisecond, func(c *Coro, _ any) Step {
 				panic("boom")
@@ -254,7 +267,6 @@ func TestCoroFramePanicRecordsCrash(t *testing.T) {
 // failure, not a wedged thread.
 func TestCoroMissingStepPanics(t *testing.T) {
 	s := New()
-	s.SetEngine(EngineCoro)
 	s.GoCoro("lazy", func(c *Coro, _ any) Step { return Step{} })
 	s.Run()
 	cr := s.Crashed()
@@ -267,7 +279,6 @@ func TestCoroMissingStepPanics(t *testing.T) {
 // invocation fail loudly.
 func TestCoroDoubleStepPanics(t *testing.T) {
 	s := New()
-	s.SetEngine(EngineCoro)
 	s.GoCoro("greedy", func(c *Coro, _ any) Step {
 		c.Sleep(Millisecond, func(c *Coro, _ any) Step { return c.End() })
 		return c.End()
@@ -284,7 +295,6 @@ func TestCoroDoubleStepPanics(t *testing.T) {
 // have hit the inline fast path.
 func TestCoroBlockingAPIMisusePanics(t *testing.T) {
 	s := New()
-	s.SetEngine(EngineCoro)
 	s.GoCoro("confused", func(c *Coro, _ any) Step {
 		c.Thread().Sleep(Millisecond) // must panic, not fast-path
 		return c.End()
@@ -304,12 +314,11 @@ func crashText(cr *Crash) string {
 }
 
 // TestCoroGetTimeout: both outcomes of a timed get — expiry with the
-// TimedOut flag, and delivery in time — behave identically on both
-// engines and match the blocking API's virtual timing.
+// TimedOut flag, and delivery in time — behave identically in both
+// forms and match the blocking API's virtual timing.
 func TestCoroGetTimeout(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		q := s.NewQueue("q")
 		type obs struct {
 			v        any
@@ -318,7 +327,7 @@ func TestCoroGetTimeout(t *testing.T) {
 		}
 		var got []obs
 		record := func(c *Coro, v any) obs { return obs{v, c.TimedOut(), c.Now()} }
-		s.GoCoro("waiter", func(c *Coro, _ any) Step {
+		run(s, 0, "waiter", func(c *Coro, _ any) Step {
 			return c.GetTimeout(q, 2*Millisecond, func(c *Coro, v any) Step {
 				got = append(got, record(c, v))
 				return c.GetTimeout(q, 10*Millisecond, func(c *Coro, v any) Step {
@@ -347,7 +356,7 @@ func TestCoroGetTimeout(t *testing.T) {
 
 // TestCoroLockStatsParity: contended acquisition through c.Lock leaves
 // the same lock statistics (acquired, contended, total wait) as the
-// blocking Thread.Lock, on both engines.
+// blocking Thread.Lock, in both forms.
 func TestCoroLockStatsParity(t *testing.T) {
 	run := func(build func(s *Sim, l *Lock)) (int64, int64, Duration) {
 		s := New()
@@ -368,11 +377,10 @@ func TestCoroLockStatsParity(t *testing.T) {
 			th.Unlock(l)
 		})
 	})
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		l := s.NewLock("l")
-		s.GoCoro("h", func(c *Coro, _ any) Step {
+		run(s, 0, "h", func(c *Coro, _ any) Step {
 			return c.Lock(l, Exclusive, func(c *Coro, _ any) Step {
 				return c.Sleep(4*Millisecond, func(c *Coro, _ any) Step {
 					c.Unlock(l)
@@ -380,7 +388,7 @@ func TestCoroLockStatsParity(t *testing.T) {
 				})
 			})
 		})
-		s.GoCoroAt(Time(Millisecond), "w", func(c *Coro, _ any) Step {
+		run(s, Time(Millisecond), "w", func(c *Coro, _ any) Step {
 			return c.Lock(l, Exclusive, func(c *Coro, _ any) Step {
 				c.Unlock(l)
 				return c.End()
@@ -398,7 +406,7 @@ func TestCoroLockStatsParity(t *testing.T) {
 
 // TestYieldFIFOFairness: threads yielding at the same instant resume in
 // strict FIFO order — the (when, seq) heap order guarantees round-robin
-// progress, so no yielder can starve another. Pinned on both engines.
+// progress, so no yielder can starve another. Pinned in both forms.
 func TestYieldFIFOFairness(t *testing.T) {
 	const workers, rounds = 3, 5
 	names := []string{"a", "b", "c"}
@@ -406,9 +414,8 @@ func TestYieldFIFOFairness(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		want = append(want, names...)
 	}
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		var order []string
 		for w := 0; w < workers; w++ {
 			name := names[w]
@@ -422,7 +429,7 @@ func TestYieldFIFOFairness(t *testing.T) {
 				}
 				return c.Yield(loop)
 			}
-			s.GoCoro(name, loop)
+			run(s, 0, name, loop)
 		}
 		s.Run()
 		s.Shutdown()
@@ -459,17 +466,16 @@ func TestYieldFIFOFairness(t *testing.T) {
 }
 
 // TestShutdownIdempotent: Shutdown unwinds every blocked thread exactly
-// once, in creation order, and a second call finds nothing to do — on
-// both engines, with Defer/defer cleanups observing the order.
+// once, in creation order, and a second call finds nothing to do — in
+// both forms, with Defer/defer cleanups observing the order.
 func TestShutdownIdempotent(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		q := s.NewQueue("q")
 		var unwound []string
 		for _, name := range []string{"a", "b", "c"} {
 			name := name
-			s.GoCoro(name, func(c *Coro, _ any) Step {
+			run(s, 0, name, func(c *Coro, _ any) Step {
 				c.Defer(func() { unwound = append(unwound, name) })
 				return c.Get(q, func(c *Coro, _ any) Step { return c.End() })
 			})
@@ -490,12 +496,11 @@ func TestShutdownIdempotent(t *testing.T) {
 // kill event never dispatched (the run stopped first) is still unwound
 // by Shutdown — its cleanups run exactly once.
 func TestShutdownWithPendingKill(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		q := s.NewQueue("q")
 		cleanups := 0
-		th := s.GoCoro("victim", func(c *Coro, _ any) Step {
+		th := run(s, 0, "victim", func(c *Coro, _ any) Step {
 			c.Defer(func() { cleanups++ })
 			return c.Get(q, func(c *Coro, _ any) Step { return c.End() })
 		})
@@ -517,12 +522,11 @@ func TestShutdownWithPendingKill(t *testing.T) {
 // without dispatching the timer, and resuming the sim afterwards lets
 // the stale timer fire harmlessly (the waitGen guard drops it).
 func TestShutdownWithTimedWaiter(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		q := s.NewQueue("q")
 		resumed := false
-		s.GoCoro("waiter", func(c *Coro, _ any) Step {
+		run(s, 0, "waiter", func(c *Coro, _ any) Step {
 			return c.GetTimeout(q, 10*Millisecond, func(c *Coro, _ any) Step {
 				resumed = true
 				return c.End()
@@ -552,11 +556,10 @@ func TestShutdownWithTimedWaiter(t *testing.T) {
 // TestShutdownNeverStartedThread: threads created but never dispatched
 // (the run didn't reach their start event) are forgotten cleanly.
 func TestShutdownNeverStartedThread(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
+	forEachForm(t, func(t *testing.T, run runner) {
 		s := New()
-		s.SetEngine(k)
 		started := false
-		s.GoCoroAt(Time(Minute), "late", func(c *Coro, _ any) Step {
+		run(s, Time(Minute), "late", func(c *Coro, _ any) Step {
 			started = true
 			return c.End()
 		})
@@ -578,10 +581,9 @@ func TestShutdownNeverStartedThread(t *testing.T) {
 // capacity) whole batches of round trips must run allocation-free.
 func TestCoroSwitchZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates; the coro engine is exercised without -race")
+		t.Skip("race instrumentation allocates")
 	}
 	s := New()
-	s.SetEngine(EngineCoro)
 	qa, qb := s.NewQueue("a"), s.NewQueue("b")
 	var token any = struct{}{}
 	rounds := 0
@@ -616,7 +618,7 @@ func TestCoroSwitchZeroAllocs(t *testing.T) {
 	s.Shutdown()
 }
 
-// --- randomized cross-engine property test ---------------------------
+// --- randomized body-vs-frame property test ----------------------------
 
 // qop is one instruction of a randomized structured-blocking program.
 type qop struct {
@@ -759,17 +761,10 @@ func (it *interpCoro) step(c *Coro) Step {
 }
 
 // interpRun executes the given per-thread programs and returns the
-// merged observation trace plus the final clock. mode selects the
-// rendering: plain goroutine bodies, or coroutine programs on either
-// engine.
-func interpRun(progs [][]qop, mode string) ([]traceEntry, Time) {
+// merged observation trace plus the final clock. threads selects the
+// rendering: Sim.Go bodies, or frame programs.
+func interpRun(progs [][]qop, threads bool) ([]traceEntry, Time) {
 	s := New()
-	switch mode {
-	case "coro":
-		s.SetEngine(EngineCoro)
-	case "goroutine":
-		s.SetEngine(EngineGoroutine)
-	}
 	qs := []*Queue{s.NewQueue("q0"), s.NewQueue("q1")}
 	lk := s.NewLock("lk")
 	cpu := s.NewCPU("cpu", 1)
@@ -777,7 +772,7 @@ func interpRun(progs [][]qop, mode string) ([]traceEntry, Time) {
 	for i, prog := range progs {
 		prog := prog
 		name := string(rune('A' + i))
-		if mode == "threads" {
+		if threads {
 			s.Go(name, func(th *Thread) {
 				interpThread(th, prog, name, qs, lk, cpu, &trace)
 			})
@@ -794,9 +789,8 @@ func interpRun(progs [][]qop, mode string) ([]traceEntry, Time) {
 
 // TestQuickCoroEngineParity: for any three randomized structured-blocking
 // programs over shared queues, a lock and a CPU, the observation trace
-// and final clock are identical whether the programs run as goroutine
-// bodies, as coroutines on the run-to-completion engine, or as
-// coroutines driven by goroutines.
+// and final clock are identical whether the programs run as Sim.Go
+// bodies or as frame programs.
 func TestQuickCoroEngineParity(t *testing.T) {
 	f := func(ra, rb, rc []byte) bool {
 		progs := [][]qop{
@@ -804,16 +798,14 @@ func TestQuickCoroEngineParity(t *testing.T) {
 			decodeProg(rb, 1, 14),
 			decodeProg(rc, 2, 14),
 		}
-		ref, refNow := interpRun(progs, "threads")
-		for _, mode := range []string{"coro", "goroutine"} {
-			got, gotNow := interpRun(progs, mode)
-			if gotNow != refNow || len(got) != len(ref) {
+		ref, refNow := interpRun(progs, true)
+		got, gotNow := interpRun(progs, false)
+		if gotNow != refNow || len(got) != len(ref) {
+			return false
+		}
+		for i := range got {
+			if got[i] != ref[i] {
 				return false
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					return false
-				}
 			}
 		}
 		return true

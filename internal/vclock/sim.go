@@ -2,9 +2,27 @@ package vclock
 
 import (
 	"fmt"
+	"iter"
+	"runtime"
 	"runtime/debug"
 	"sort"
+	"time"
 )
+
+// EngineKind names a scheduler engine. One engine remains, EngineCoro;
+// the type and its String method stay so callers that record which
+// engine ran keep compiling.
+type EngineKind uint8
+
+// EngineCoro is the scheduler engine: one dispatch loop steps frame
+// programs (GoCoro) inline and resumes Sim.Go bodies as iter.Pull
+// coroutines.
+const EngineCoro EngineKind = 0
+
+func (k EngineKind) String() string { return "coro" }
+
+// DefaultEngine is the engine every Sim runs.
+const DefaultEngine = EngineCoro
 
 // Sim is a deterministic discrete-event simulator. It owns the virtual
 // clock and schedules simulated threads. Create one with New, start threads
@@ -14,35 +32,46 @@ import (
 // interaction must happen either from the goroutine that calls Run or from
 // inside simulated threads.
 //
-// Scheduling is baton-passing: exactly one goroutine — the RunUntil
-// caller or one simulated thread — is active at a time, and whoever
-// blocks dispatches the next event itself, waking its successor
-// directly. The classic alternative (park into a central scheduler
-// goroutine which then dispatches) costs two goroutine hand-offs per
-// context switch; the baton costs one. Event order is identical either
-// way: both run the same pop-min dispatch loop over the same heap.
+// Scheduling is one loop: RunUntil pops events in (when, seq) order
+// and runs each to its next blocking point on the calling goroutine.
+// Frame programs (GoCoro) are stepped inline; a Sim.Go body is an
+// iter.Pull coroutine that the loop resumes and that yields back when it
+// blocks. Exactly one body or frame runs at a time, so no locking is
+// needed anywhere in the simulator.
 type Sim struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	parked  chan struct{} // hand-back to the RunUntil caller
-	live    int           // threads started and not yet exited
+	live    int // threads started and not yet exited
 	nextID  int
 	threads map[int]*Thread
 
-	running  bool        // inside RunUntil
-	stop     func() bool // RunUntil's stop predicate, nil when absent
-	selfWake any         // payload of a baton-self wake (see dispatchFrom)
-	engine   EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
+	running bool        // inside RunUntil
+	stop    func() bool // RunUntil's stop predicate, nil when absent
 
-	crash   *Crash        // first captured panic; halts dispatch
-	killAck chan struct{} // killed thread -> killer handshake
+	paced   uint32    // events dispatched, for pace
+	pacedAt time.Time // wall time of the last pace yield
+
+	crash *Crash // first captured panic; halts dispatch
 }
 
-// poison is sent to a parked thread by Shutdown (and by Kill) to unwind
-// it: the panic is recovered inside the thread wrapper, so the thread's
-// deferred functions run.
+// poison unwinds a parked Sim.Go body: park panics with it once Kill or
+// Shutdown has stopped the body's coroutine, and the thread wrapper
+// recovers it, so the body's deferred functions run.
 type poison struct{}
+
+// The dispatch loop yields its P to the Go runtime once every
+// paceWall of wall time, checked every paceEvents events. Resuming a
+// Sim.Go body is an iter.Pull coroutine switch, which never wakes an
+// idle P the way a channel hand-off does, and an idle P sleeps in
+// epoll_wait at millisecond resolution. Without the yield, timers and
+// network reads elsewhere in the process — a live report reader, a
+// paced server's ticker — fire up to a millisecond late while a run is
+// busy. Gosched lets the runtime service them from this M.
+const (
+	paceEvents = 8
+	paceWall   = 20 * time.Microsecond
+)
 
 // Crash records the first panic that escaped a simulated thread's body
 // or a scheduler callback. Dispatch halts at the crash — no further
@@ -143,12 +172,7 @@ func (s *Sim) schedule(at Time, t *Thread) { s.push(event{when: at, t: t}) }
 
 // New returns an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{
-		parked:  make(chan struct{}),
-		killAck: make(chan struct{}),
-		threads: make(map[int]*Thread),
-		engine:  DefaultEngine,
-	}
+	return &Sim{threads: make(map[int]*Thread)}
 }
 
 // Now reports the current virtual time.
@@ -197,15 +221,21 @@ type Thread struct {
 	Name string
 
 	sim     *Sim
-	resume  chan any // scheduler -> thread; payload for queue gets (nil for rtc threads)
-	body    func(*Thread)
-	coro    *Coro // the thread's resumable program (GoCoro threads, both engines)
-	rtc     bool  // run-to-completion: stepped inline by the dispatcher, no goroutine
+	body    func(*Thread) // Sim.Go body; nil for frame programs
+	coro    *Coro         // GoCoro program; nil for Sim.Go bodies
 	started bool
 	exited  bool
 	dead    bool   // marked by Kill; pending events for it are skipped
-	killed  bool   // unwinding via Kill (run() acks instead of dispatching)
 	waitGen uint64 // bumped per queue wait; guards stale timeout wakes
+
+	// A started Sim.Go body runs as an iter.Pull coroutine: the dispatch
+	// loop resumes it with next, park suspends it with yield, and Kill
+	// and Shutdown unwind it with stop. wake carries the payload of the
+	// wake that next delivers.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	wake  any
 
 	// Data is an arbitrary per-thread payload. The profiler attaches its
 	// per-thread probe here so that libraries handed only a *Thread can
@@ -228,26 +258,16 @@ func (s *Sim) Go(name string, body func(*Thread)) *Thread {
 
 // GoAt is like Go but delays the thread's start until virtual time `at`.
 func (s *Sim) GoAt(at Time, name string, body func(*Thread)) *Thread {
-	t := &Thread{ID: s.nextID, Name: name, sim: s, resume: make(chan any), body: body}
-	s.nextID++
-	s.live++
-	s.threads[t.ID] = t
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{when: at, t: t, start: true})
+	t := s.newThread(at, name)
+	t.body = body
 	return t
 }
 
 // GoCoro creates a run-to-completion simulated thread named name whose
 // body is the resumable program starting at frame f, scheduled to start
-// at the current virtual time. Under the default EngineCoro the thread
-// has no goroutine at all: the dispatcher invokes its continuations
-// inline, so every blocking operation costs a method call instead of a
-// channel hand-off. Under EngineGoroutine (forced by -race builds) the
-// identical program is driven from a dedicated goroutine through the
-// ordinary park/resume protocol — the event order is the same either
-// way.
+// at the current virtual time. The dispatch loop invokes its
+// continuations inline, so every blocking operation costs a method call
+// instead of a coroutine switch.
 func (s *Sim) GoCoro(name string, f Frame) *Thread {
 	return s.GoCoroAt(s.now, name, f)
 }
@@ -255,14 +275,14 @@ func (s *Sim) GoCoro(name string, f Frame) *Thread {
 // GoCoroAt is GoCoro with the thread's start delayed until virtual
 // time `at`.
 func (s *Sim) GoCoroAt(at Time, name string, f Frame) *Thread {
-	if s.engine == EngineGoroutine {
-		t := s.GoAt(at, name, nil)
-		c := newCoro(t, f)
-		t.body = c.driveGoroutine
-		return t
-	}
-	t := &Thread{ID: s.nextID, Name: name, sim: s, rtc: true}
+	t := s.newThread(at, name)
 	newCoro(t, f)
+	return t
+}
+
+// newThread registers a thread and schedules its start event.
+func (s *Sim) newThread(at Time, name string) *Thread {
+	t := &Thread{ID: s.nextID, Name: name, sim: s}
 	s.nextID++
 	s.live++
 	s.threads[t.ID] = t
@@ -273,12 +293,19 @@ func (s *Sim) GoCoroAt(at Time, name string, f Frame) *Thread {
 	return t
 }
 
+// exit is the bookkeeping every ending thread gets: finished, crashed,
+// killed or shut down.
+func (s *Sim) exit(t *Thread) {
+	t.exited = true
+	s.live--
+	delete(s.threads, t.ID)
+}
+
 // stepCoro resumes a run-to-completion thread with a wake payload and,
 // when the program finishes or panics, performs the same cleanup-then-
-// exit sequence the goroutine wrapper runs: deferred cleanups first
+// exit sequence a Sim.Go body goes through: deferred cleanups first
 // (they are deeper in the conceptual stack), then the crash record,
-// then the exit bookkeeping. The caller is the dispatcher; it keeps the
-// baton throughout.
+// then the exit bookkeeping.
 func (s *Sim) stepCoro(t *Thread, v any) {
 	c := t.coro
 	done := false
@@ -298,9 +325,7 @@ func (s *Sim) stepCoro(t *Thread, v any) {
 		c.runCleanups()
 	}
 	if done || crashed {
-		t.exited = true
-		s.live--
-		delete(s.threads, t.ID)
+		s.exit(t)
 	}
 }
 
@@ -341,14 +366,10 @@ func (s *Sim) recordCrash(thread string, v any) {
 }
 
 // runCallback runs a scheduler callback, capturing an escaping panic as
-// a crash. poison is re-raised: a callback that kills the dispatching
-// thread itself unwinds through here.
+// a crash.
 func (s *Sim) runCallback(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(poison); ok {
-				panic(r)
-			}
 			s.recordCrash("(scheduler)", r)
 		}
 	}()
@@ -372,195 +393,117 @@ func (s *Sim) deliver(at Time, q *Queue, v any) {
 func (s *Sim) deliverNow(q *Queue, v any) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(poison); ok {
-				panic(r)
-			}
 			s.recordCrash("(scheduler)", r)
 		}
 	}()
 	q.Put(v)
 }
 
-// waitParked blocks the RunUntil caller until the dispatch chain hands
-// the baton back (no more events, or the stop predicate fired).
-func (s *Sim) waitParked() { <-s.parked }
-
-// baton is dispatchFrom's verdict on where execution continues.
-type baton uint8
-
-const (
-	// batonDone: no dispatchable event remains (or stop fired); the
-	// caller must hand back to the RunUntil goroutine.
-	batonDone baton = iota
-	// batonPassed: another thread has been resumed; the caller blocks
-	// (or exits).
-	batonPassed
-	// batonSelf: the caller's own wake-up was the next event; it keeps
-	// running with the payload left in s.selfWake.
-	batonSelf
-)
-
-// dispatchFrom runs the dispatch loop on the calling goroutine until the
-// baton moves: the caller is a simulated thread about to block (self
-// non-nil), a thread about to exit, or the RunUntil goroutine (self
-// nil). Exactly one goroutine executes dispatchFrom at a time — the
-// baton discipline — so no locking is needed anywhere in the simulator.
-func (s *Sim) dispatchFrom(self *Thread) baton {
-	if !s.running {
-		// Outside RunUntil (Shutdown's unwind): never dispatch.
-		return batonDone
+// dispatch runs one event.
+func (s *Sim) dispatch(e event) {
+	if e.when < s.now {
+		panic(fmt.Sprintf("vclock: event scheduled in the past: %v < %v", e.when, s.now))
 	}
-	for len(s.events) > 0 {
-		if s.crash != nil {
-			return batonDone
+	s.now = e.when
+	t := e.t
+	switch {
+	case e.kill:
+		if !t.exited {
+			s.unwind(t)
 		}
-		if s.stop != nil && s.stop() {
-			return batonDone
+	case e.fn != nil:
+		s.runCallback(e.fn)
+	case e.q != nil:
+		s.deliverNow(e.q, e.v)
+	case e.start:
+		if t.started || t.dead {
+			return
 		}
-		e := s.pop()
-		if e.when < s.now {
-			panic(fmt.Sprintf("vclock: event scheduled in the past: %v < %v", e.when, s.now))
+		t.started = true
+		if t.coro != nil {
+			s.stepCoro(t, nil)
+			return
 		}
-		s.now = e.when
-		switch {
-		case e.kill:
-			t := e.t
-			if t.exited {
-				continue
-			}
-			if !t.started {
-				// The goroutine was never created; just forget the thread
-				// (its start event is skipped by the dead check below).
-				t.exited = true
-				s.live--
-				delete(s.threads, t.ID)
-				continue
-			}
-			if t.rtc {
-				// No goroutine to hand the poison to: unwind the
-				// coroutine in place — cleanups, then the same exit
-				// bookkeeping the goroutine wrapper performs — and keep
-				// dispatching. No killAck handshake is needed because
-				// the victim never held a baton to give up.
-				t.coro.runCleanups()
-				t.exited = true
-				s.live--
-				delete(s.threads, t.ID)
-				continue
-			}
-			if t == self {
-				// Self-kill: unwind in place. run() recovers the poison,
-				// does the exit bookkeeping and continues dispatch, so
-				// the baton is preserved.
-				panic(poison{})
-			}
-			// Every live non-dispatching thread is blocked in <-resume
-			// (the baton discipline), so the hand-off cannot block. The
-			// ack keeps the baton here: the dying thread must not
-			// dispatch, the killer continues the loop.
-			t.killed = true
-			t.resumeWith(poison{})
-			<-s.killAck
-			continue
-		case e.fn != nil:
-			s.runCallback(e.fn)
-		case e.q != nil:
-			s.deliverNow(e.q, e.v)
-		case e.start:
-			if e.t.started || e.t.dead {
-				continue
-			}
-			e.t.started = true
-			if e.t.rtc {
-				// Run-to-completion start: invoke the program inline
-				// until it blocks, then keep dispatching. The baton
-				// never moves.
-				s.stepCoro(e.t, nil)
-				continue
-			}
-			go e.t.run()
-			e.t.resumeWith(nil)
-			return batonPassed
-		case e.t == self:
-			// Own wake-up: no hand-off, keep running.
-			s.selfWake = e.v
-			return batonSelf
-		case e.t != nil:
-			if e.t.dead || e.t.exited {
-				// Stale wake for a killed thread (its sleep or queue
-				// hand-off was already scheduled); drop it.
-				continue
-			}
-			if e.t.rtc {
-				// Zero-handoff resume: the wake's payload goes straight
-				// into the continuation, on this goroutine.
-				s.stepCoro(e.t, e.v)
-				continue
-			}
-			e.t.resumeWith(e.v)
-			return batonPassed
+		t.next, t.stop = iter.Pull(t.run)
+		s.resume(t, nil)
+	case t != nil:
+		if t.dead || t.exited {
+			// Stale wake for a killed thread (its sleep or queue
+			// hand-off was already scheduled); drop it.
+			return
 		}
+		if t.coro != nil {
+			s.stepCoro(t, e.v)
+			return
+		}
+		s.resume(t, e.v)
 	}
-	return batonDone
 }
 
-func (t *Thread) run() {
-	v := <-t.resume // wait for first dispatch
-	if _, dead := v.(poison); !dead {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(poison); ok {
-						return
-					}
-					// An application panic: record it as the run's crash
-					// and let the thread exit cleanly. Dispatch halts at
-					// the crash; RunUntil returns with Crashed() set.
-					t.sim.recordCrash(t.Name, r)
-				}
-			}()
-			t.body(t)
-		}()
+// resume runs a Sim.Go body from its park (or its start) to the next
+// one, handing it the wake payload v.
+func (s *Sim) resume(t *Thread, v any) {
+	t.wake = v
+	if _, ok := t.next(); !ok {
+		s.exit(t)
 	}
-	// Exit bookkeeping runs on the exiting thread itself (it holds the
-	// baton), then the baton moves on.
-	s := t.sim
-	t.exited = true
-	s.live--
-	delete(s.threads, t.ID)
-	if t.killed {
-		// The killer holds the baton and is waiting for the ack; do not
-		// dispatch from here.
-		s.killAck <- struct{}{}
+}
+
+// unwind ends t where it stands: a frame program runs its Defer stack;
+// a started Sim.Go body is stopped, so its park panics poison and its
+// deferred functions run; a thread that never started is just
+// forgotten.
+func (s *Sim) unwind(t *Thread) {
+	if t.coro != nil {
+		t.coro.runCleanups()
+	} else if t.stop != nil {
+		t.stop()
+	}
+	s.exit(t)
+}
+
+// pace yields the P to the Go runtime; see paceWall.
+func (s *Sim) pace() {
+	s.paced++
+	if s.paced%paceEvents != 0 {
 		return
 	}
-	if s.dispatchFrom(nil) == batonDone {
-		s.parked <- struct{}{}
+	// time.Since reads only the monotonic clock, half the cost of
+	// time.Now; the latter runs once per yield.
+	if time.Since(s.pacedAt) >= paceWall {
+		runtime.Gosched()
+		s.pacedAt = time.Now()
 	}
+}
+
+// run is the iter.Pull sequence of a Sim.Go body. A panic other than
+// poison is recorded as the run's crash here, while the panicking frames
+// are still on the stack; dispatch halts at the crash and RunUntil
+// returns with Crashed() set.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(poison); !ok {
+				t.sim.recordCrash(t.Name, r)
+			}
+		}
+	}()
+	t.body(t)
 }
 
 // park blocks the calling simulated thread until another event wakes it.
 // It returns the value passed by the waker (used by queues to hand items
-// over), or nil for plain wakes. Before blocking, the thread dispatches
-// onward: if the very next event is its own wake-up it returns without
-// blocking at all.
+// over), or nil for plain wakes.
 func (t *Thread) park() any {
-	if t.rtc {
+	if t.coro != nil {
 		panic("vclock: run-to-completion thread " + t.Name + " used the goroutine blocking API (use the Coro methods)")
 	}
-	s := t.sim
-	switch s.dispatchFrom(t) {
-	case batonSelf:
-		v := s.selfWake
-		s.selfWake = nil
-		return v
-	case batonDone:
-		s.parked <- struct{}{}
+	if !t.yield(struct{}{}) {
+		panic(poison{})
 	}
-	v := <-t.resume
-	if p, dead := v.(poison); dead {
-		panic(p)
-	}
+	v := t.wake
+	t.wake = nil
 	return v
 }
 
@@ -571,8 +514,6 @@ func (s *Sim) wakeAt(at Time, t *Thread, v any) {
 	s.push(event{when: at, t: t, v: v})
 }
 
-func (t *Thread) resumeWith(v any) { t.resume <- v }
-
 // SleepUntil parks the calling thread until virtual time `at`.
 //
 // When the sleeper's wake-up would be the strictly earliest pending
@@ -582,11 +523,11 @@ func (t *Thread) resumeWith(v any) { t.resume <- v }
 // same stop-predicate evaluation, same clock, no other event can run in
 // between because none is scheduled before the wake (ties lose to
 // already-pushed events, which hold smaller sequence numbers, so
-// equality takes the slow path). This removes two goroutine hand-offs
+// equality takes the slow path). This removes two coroutine switches
 // and a heap push/pop from every uncontended Compute/Sleep, without
 // changing the event order observed by any thread.
 func (t *Thread) SleepUntil(at Time) {
-	if t.rtc {
+	if t.coro != nil {
 		// Fail even on the would-be fast path: an API misuse that only
 		// panics under contention would be maddening to reproduce.
 		panic("vclock: run-to-completion thread " + t.Name + " used the goroutine blocking API (use the Coro methods)")
@@ -646,13 +587,9 @@ func (s *Sim) RunUntil(stop func() bool) {
 	}
 	s.running, s.stop = true, stop
 	defer func() { s.running, s.stop = false, nil }()
-	for {
-		switch s.dispatchFrom(nil) {
-		case batonDone:
-			return
-		case batonPassed:
-			s.waitParked()
-		}
+	for len(s.events) > 0 && s.crash == nil && (stop == nil || !stop()) {
+		s.pace()
+		s.dispatch(s.pop())
 	}
 }
 
@@ -663,12 +600,12 @@ func (s *Sim) RunUntil(stop func() bool) {
 func (s *Sim) Live() int { return s.live }
 
 // Shutdown unwinds every simulated thread that is still blocked,
-// releasing their goroutines (run-to-completion threads have none; only
-// their cleanups run). It must be called only after Run/RunUntil has
-// returned (i.e. from the host goroutine, with no events pending that
-// the caller still cares about). Goroutine threads are unwound via a
-// panic recovered inside the thread wrapper, so their deferred
-// functions run; coroutine threads run their Defer stacks.
+// releasing their coroutines. It must be called only after
+// Run/RunUntil has returned (i.e. from the host goroutine, with no
+// events pending that the caller still cares about). Sim.Go bodies are
+// stopped, so their park panics poison and their deferred functions
+// run; frame programs run their Defer stacks; threads that never
+// started are just forgotten.
 //
 // Threads unwind in ID (creation) order — not map order — so any side
 // effects of their teardown (released locks, final counter updates) are
@@ -685,28 +622,8 @@ func (s *Sim) Shutdown() {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		t, ok := s.threads[id]
-		if !ok || t.exited {
-			continue
+		if t, ok := s.threads[id]; ok && !t.exited {
+			s.unwind(t)
 		}
-		if !t.started {
-			// The thread never ran (no defers registered, no goroutine
-			// created); just forget it.
-			t.exited = true
-			s.live--
-			delete(s.threads, t.ID)
-			continue
-		}
-		if t.rtc {
-			// No goroutine to poison: run the coroutine's cleanups and
-			// forget it.
-			t.coro.runCleanups()
-			t.exited = true
-			s.live--
-			delete(s.threads, t.ID)
-			continue
-		}
-		t.resume <- poison{}
-		s.waitParked()
 	}
 }

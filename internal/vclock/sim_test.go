@@ -1,6 +1,10 @@
 package vclock
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestClockStartsAtZero(t *testing.T) {
 	s := New()
@@ -378,6 +382,45 @@ func TestShutdownReleasesBlockedThreads(t *testing.T) {
 	}
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run during shutdown")
+	}
+}
+
+// TestGoBodiesReleaseGoroutines: a started Sim.Go body holds a host
+// goroutine while it is parked. Kill of one parked body and Shutdown of
+// the rest must release every one of them, or each simulated thread
+// would leak a goroutine.
+func TestGoBodiesReleaseGoroutines(t *testing.T) {
+	// settlesAt polls until the goroutine count drops to want: an
+	// unwound body's goroutine exits shortly after it is released.
+	settlesAt := func(want int) bool {
+		for i := 0; i < 500; i++ {
+			if runtime.NumGoroutine() <= want {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	}
+	const n = 16
+	base := runtime.NumGoroutine()
+	s := New()
+	q := s.NewQueue("never")
+	for i := 0; i < n; i++ {
+		s.Go("parked", func(th *Thread) { th.Get(q) })
+	}
+	victim := s.Go("victim", func(th *Thread) { th.Get(q) })
+	s.Run()
+	if got := runtime.NumGoroutine(); got < base+n+1 {
+		t.Fatalf("%d goroutines with %d parked bodies, want at least %d", got, n+1, base+n+1)
+	}
+	s.Kill(victim)
+	s.Run()
+	if !settlesAt(base + n) {
+		t.Fatalf("%d goroutines after Kill, want %d", runtime.NumGoroutine(), base+n)
+	}
+	s.Shutdown()
+	if !settlesAt(base) {
+		t.Fatalf("%d goroutines after Shutdown, want %d", runtime.NumGoroutine(), base)
 	}
 }
 

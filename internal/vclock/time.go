@@ -3,9 +3,9 @@
 // FIFO queues and reader/writer locks.
 //
 // Every experiment in this repository runs on virtual time so that results
-// are reproducible bit-for-bit. Simulated threads are ordinary goroutines,
-// but the scheduler runs exactly one of them at a time and picks the next
-// runnable thread deterministically (earliest wake time, ties broken by
+// are reproducible bit-for-bit. Simulated threads are coroutines (or
+// frame programs stepped inline), and the scheduler runs exactly one of
+// them at a time and picks the next runnable thread deterministically (earliest wake time, ties broken by
 // sequence number), so no data race or nondeterminism is possible as long
 // as threads only communicate through vclock primitives.
 package vclock

@@ -605,12 +605,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the headers go out: a client may start the run
+	// as soon as its request returns, and must not miss the first
+	// windows.
+	ch, cancel := s.ring.Subscribe(16)
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	ch, cancel := s.ring.Subscribe(16)
-	defer cancel()
 	for {
 		select {
 		case kv, open := <-ch:

@@ -124,8 +124,9 @@ func NewSim() *Sim { return vclock.New() }
 
 // Run-to-completion scheduling (Sim.GoCoro, App.GoCoroShard,
 // Stage.GoCoro): thread bodies written as resumable state machines are
-// executed by the dispatcher with zero goroutine switches per blocking
-// operation.
+// stepped inline by the dispatch loop, with no coroutine switch per
+// blocking operation. Free-form Sim.Go bodies run as iter.Pull
+// coroutines of the same loop; both forms produce the same event order.
 type (
 	// Coro is the execution state of a run-to-completion thread.
 	Coro = vclock.Coro
@@ -133,20 +134,6 @@ type (
 	Frame = vclock.Frame
 	// Step is the receipt a Frame returns from its one scheduling step.
 	Step = vclock.Step
-	// EngineKind selects how coroutine threads execute (see the
-	// Engine* constants).
-	EngineKind = vclock.EngineKind
-)
-
-// Coroutine engines. EngineCoro (the default) steps continuations
-// inline on the dispatcher; EngineGoroutine drives the identical
-// programs from dedicated goroutines — bit-identical event order, used
-// by -race builds and cross-engine determinism checks. Override the
-// process default via vclock.DefaultEngine (snapshotted per Sim at
-// creation) or the WHODUNIT_ENGINE environment variable.
-const (
-	EngineCoro      = vclock.EngineCoro
-	EngineGoroutine = vclock.EngineGoroutine
 )
 
 // Profiler core.
